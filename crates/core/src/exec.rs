@@ -102,7 +102,11 @@ pub(crate) struct FrontEnd {
     pub search: SearchOptions,
 }
 
-pub(crate) fn compile_front(graph: &FlatGraph, opts: &CompileOptions) -> Result<FrontEnd> {
+pub(crate) fn compile_front(
+    graph: &FlatGraph,
+    opts: &CompileOptions,
+    memo: &profile::ProfileMemo,
+) -> Result<FrontEnd> {
     // Feedback graphs may need thread counts below the grid's smallest
     // entry (capped by the loop's initial-token depth): extend the grid.
     let mut profile_opts = opts.profile.clone();
@@ -117,7 +121,7 @@ pub(crate) fn compile_front(graph: &FlatGraph, opts: &CompileOptions) -> Result<
             profile_opts.thread_counts.push(cap.max(1));
         }
     }
-    let table = profile::profile(graph, &profile_opts, &opts.device, &opts.timing)?;
+    let table = profile::profile_memoized(graph, &profile_opts, &opts.device, &opts.timing, memo)?;
     let selection = config::select(graph, &table)?;
     let exec_cfg = selection.exec.clone();
     let ig = instances::build(graph, &exec_cfg)?;
@@ -143,7 +147,7 @@ pub(crate) fn compile_front(graph: &FlatGraph, opts: &CompileOptions) -> Result<
 /// Any stage can fail: infeasible configuration grid, inconsistent rates,
 /// schedule search exhaustion. Errors carry the failing stage's context.
 pub fn compile(graph: &FlatGraph, opts: &CompileOptions) -> Result<Compiled> {
-    let fe = compile_front(graph, opts)?;
+    let fe = compile_front(graph, opts, &profile::ProfileMemo::default())?;
     let (schedule, report) = schedule::find(&fe.ig, &fe.exec_cfg, opts.device.num_sms, &fe.search)?;
     Ok(Compiled {
         graph: graph.clone(),

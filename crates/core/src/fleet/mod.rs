@@ -50,6 +50,7 @@ use streamir::ir::Scalar;
 
 use crate::exec::GpuRun;
 use crate::pipeline::{ResilientCompiled, ResilientPipeline};
+use crate::profile::ProfileMemo;
 use crate::serve::metrics::percentile_of;
 use crate::serve::{
     cache_key, pipeline_options_for, run_artifact, AdmissionController, Decision, Job, Partitioner,
@@ -386,6 +387,9 @@ pub struct FleetEngine {
     /// isolation certificate (see [`crate::serve::run_artifact`]).
     artifacts: u64,
     certified: u64,
+    /// Profiling memo shared by every compile this fleet runs (organic
+    /// store misses and [`FleetEngine::warm`]).
+    memo: ProfileMemo,
 }
 
 impl FleetEngine {
@@ -440,6 +444,7 @@ impl FleetEngine {
             graph_capture_cycles: 0.0,
             artifacts: 0,
             certified: 0,
+            memo: ProfileMemo::default(),
             opts,
         }
     }
@@ -507,7 +512,10 @@ impl FleetEngine {
                         report.failed += 1;
                         continue;
                     };
-                    match ResilientPipeline::new(popts).compile(graph) {
+                    match ResilientPipeline::new(popts)
+                        .with_memo(self.memo.clone())
+                        .compile(graph)
+                    {
                         Ok(a) => {
                             self.store.insert(key, a, DeviceId(home), &usable);
                             report.compiled += 1;
@@ -733,12 +741,14 @@ impl FleetEngine {
             pipeline_options_for(&self.opts.base, slice.num_sms, pressure, job.qos.policy());
         let key = cache_key(&job.graph, &popts);
         let usable = self.router.usable_devices();
-        let (fetch, fetched) = self.store.fetch(key, dev, &usable)?;
+        let (fetch, fetched) = self.store.fetch(key, &job.graph, dev, &usable)?;
         let (artifact, fetch_cost) = match (fetch, fetched) {
             (Fetch::LocalHit, Some(a)) => (a, 0.0),
             (Fetch::RemoteHit, Some(a)) => (a, self.opts.fetch_penalty_secs),
             _ => {
-                let a = ResilientPipeline::new(popts).compile(&job.graph)?;
+                let a = ResilientPipeline::new(popts)
+                    .with_memo(self.memo.clone())
+                    .compile(&job.graph)?;
                 self.devices[dev.0 as usize].search_invocations += a.report.search_invocations();
                 self.store.insert(key, a.clone(), dev, &usable);
                 (a, self.opts.base.compile_penalty_secs)
@@ -824,7 +834,9 @@ impl FleetEngine {
         // a replica by now, so this is at worst a remote hit) and runs
         // the same deterministic execution.
         let usable = self.router.usable_devices();
-        let (bfetch, _) = self.store.fetch(rec.key, backup, &usable)?;
+        let (bfetch, _) =
+            self.store
+                .fetch(rec.key, &rec.artifact.compiled.graph, backup, &usable)?;
         let bcost = match bfetch {
             Fetch::LocalHit => 0.0,
             Fetch::RemoteHit => self.opts.fetch_penalty_secs,
@@ -1000,7 +1012,7 @@ impl FleetEngine {
             let usable = self.router.usable_devices();
             let (fetch, _) = self
                 .store
-                .fetch(r.key, target, &usable)
+                .fetch(r.key, &r.artifact.compiled.graph, target, &usable)
                 .expect("artifact verified at insert");
             let fetch_cost = match fetch {
                 Fetch::LocalHit => 0.0,

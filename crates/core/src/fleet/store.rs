@@ -23,6 +23,10 @@
 //!   these so benchmarks can prove R > 1 prevents them.
 //! * **Verification on hit** — every fetched artifact re-runs the
 //!   static verifier, exactly like a single-device cache hit.
+//! * **Content guard** — a key addresses a program by its printed form,
+//!   which omits table values, so a fetch also compares the stored
+//!   artifact's graph with the requester's; a mismatch is a miss, and
+//!   the requester's recompile replaces the entry.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -34,6 +38,7 @@ use crate::serve::cache::verify_artifact;
 use crate::Result;
 
 use gpusim::DeviceId;
+use streamir::graph::FlatGraph;
 
 /// How a fetch was served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -141,7 +146,8 @@ impl ArtifactStore {
 
     /// Fetches `key` for `device`, given the router's current list of
     /// usable devices. Counts the lookup, performs read-repair, and
-    /// verifies the artifact on every hit.
+    /// verifies the artifact on every hit. An entry compiled for a graph
+    /// other than `graph` is a miss.
     ///
     /// # Errors
     ///
@@ -150,12 +156,17 @@ impl ArtifactStore {
     pub fn fetch(
         &mut self,
         key: u64,
+        graph: &FlatGraph,
         device: DeviceId,
         usable: &[u32],
     ) -> Result<(Fetch, Option<ResilientCompiled>)> {
         self.stats.lookups += 1;
         let replication = self.replication;
-        let Some(entry) = self.entries.get_mut(&key) else {
+        let Some(entry) = self
+            .entries
+            .get_mut(&key)
+            .filter(|e| e.artifact.compiled.graph == *graph)
+        else {
             self.stats.misses += 1;
             return Ok((Fetch::Miss, None));
         };
@@ -272,6 +283,7 @@ mod tests {
     #[test]
     fn insert_replicates_to_r_and_fetch_hits_locally_and_remotely() {
         let (key, a) = artifact();
+        let g = a.compiled.graph.clone();
         let mut s = ArtifactStore::new(2);
         let usable = vec![0, 1, 2, 3];
         s.insert(key, a, DeviceId(1), &usable);
@@ -279,7 +291,7 @@ mod tests {
         assert!(s.replicas(key).contains(&1));
 
         let holder = DeviceId(1);
-        let (f, art) = s.fetch(key, holder, &usable).unwrap();
+        let (f, art) = s.fetch(key, &g, holder, &usable).unwrap();
         assert_eq!(f, Fetch::LocalHit);
         assert!(art.is_some());
 
@@ -288,7 +300,7 @@ mod tests {
                 .find(|d| !s.replicas(key).contains(d))
                 .expect("some non-replica"),
         );
-        let (f, art) = s.fetch(key, outsider, &usable).unwrap();
+        let (f, art) = s.fetch(key, &g, outsider, &usable).unwrap();
         assert_eq!(f, Fetch::RemoteHit, "non-replica device fetches remotely");
         assert!(art.is_some());
         assert!(
@@ -303,6 +315,7 @@ mod tests {
     #[test]
     fn read_repair_restores_replication_after_device_loss() {
         let (key, a) = artifact();
+        let g = a.compiled.graph.clone();
         let mut s = ArtifactStore::new(2);
         s.insert(key, a, DeviceId(0), &[0, 1, 2, 3]);
         let victim = *s.replicas(key).iter().find(|&&d| d != 0).unwrap_or(&0);
@@ -313,7 +326,7 @@ mod tests {
         // the survivors.
         let survivors: Vec<u32> = (0..4u32).filter(|&d| d != victim).collect();
         let requester = DeviceId(survivors[0]);
-        let (f, _) = s.fetch(key, requester, &survivors).unwrap();
+        let (f, _) = s.fetch(key, &g, requester, &survivors).unwrap();
         assert_ne!(f, Fetch::Miss);
         assert_eq!(s.replicas(key).len(), 2, "read-repair restored R");
         assert!(s.stats().read_repairs >= 1);
@@ -322,13 +335,14 @@ mod tests {
     #[test]
     fn losing_every_replica_loses_the_entry() {
         let (key, a) = artifact();
+        let g = a.compiled.graph.clone();
         let mut s = ArtifactStore::new(2);
         s.insert(key, a, DeviceId(0), &[0, 1]);
         s.drop_device(DeviceId(0));
         s.drop_device(DeviceId(1));
         assert!(!s.contains(key));
         assert_eq!(s.stats().entries_lost, 1);
-        let (f, art) = s.fetch(key, DeviceId(2), &[2, 3]).unwrap();
+        let (f, art) = s.fetch(key, &g, DeviceId(2), &[2, 3]).unwrap();
         assert_eq!(f, Fetch::Miss);
         assert!(art.is_none());
     }
@@ -374,12 +388,13 @@ mod tests {
     #[test]
     fn unreachable_replicas_are_an_honest_miss() {
         let (key, a) = artifact();
+        let g = a.compiled.graph.clone();
         let mut s = ArtifactStore::new(1);
         s.insert(key, a, DeviceId(0), &[0, 1]);
         // Device 0 holds the only replica but is partitioned (not in
         // the usable list): the fetch must miss rather than hit through
         // a severed link.
-        let (f, _) = s.fetch(key, DeviceId(1), &[1]).unwrap();
+        let (f, _) = s.fetch(key, &g, DeviceId(1), &[1]).unwrap();
         assert_eq!(f, Fetch::Miss);
     }
 }

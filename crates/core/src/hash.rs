@@ -83,6 +83,16 @@ impl Fnv {
     }
 }
 
+/// Streams formatted text straight into the digest, so `write!(h,
+/// "{v:?}")` hashes a value's full `Debug` rendering without building
+/// the string.
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,6 +103,14 @@ mod tests {
         h.write(b"abc");
         h.write(b"def");
         assert_eq!(h.finish(), fnv1a(b"abcdef"));
+    }
+
+    #[test]
+    fn formatted_writes_match_the_rendered_bytes() {
+        use std::fmt::Write;
+        let mut h = Fnv::new();
+        write!(h, "{:?}", (1u8, "x")).unwrap();
+        assert_eq!(h.finish(), fnv1a(b"(1, \"x\")"));
     }
 
     #[test]

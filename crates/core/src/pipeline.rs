@@ -44,7 +44,7 @@ use streamir::graph::FlatGraph;
 
 use crate::exec::{compile_front, CompileOptions, Compiled, RunOptions, Scheme};
 use crate::plan::{self, CheckpointPlan, LayoutKind};
-use crate::profile::TIME_UNIT_CYCLES;
+use crate::profile::{ProfileMemo, TIME_UNIT_CYCLES};
 use crate::schedule::{self, Schedule, SchedulerKind, SearchOptions, SearchReport};
 use crate::{verify, Error, Result};
 
@@ -288,13 +288,27 @@ pub struct ResilientCompiled {
 #[derive(Debug, Clone, Default)]
 pub struct ResilientPipeline {
     opts: PipelineOptions,
+    memo: ProfileMemo,
 }
 
 impl ResilientPipeline {
     /// A driver with the given options.
     #[must_use]
     pub fn new(opts: PipelineOptions) -> ResilientPipeline {
-        ResilientPipeline { opts }
+        ResilientPipeline {
+            opts,
+            memo: ProfileMemo::default(),
+        }
+    }
+
+    /// Profiles through `memo` instead of this pipeline's own: grid points
+    /// any earlier compile on the same memo measured are reused. The
+    /// memo is not part of the options — it cannot change the artifact,
+    /// only how long the profiling phase takes.
+    #[must_use]
+    pub(crate) fn with_memo(mut self, memo: ProfileMemo) -> ResilientPipeline {
+        self.memo = memo;
+        self
     }
 
     /// A driver over [`CompileOptions::small_test`] with default budgets
@@ -321,7 +335,7 @@ impl ResilientPipeline {
     /// latter case) instead of shipping an unchecked artifact.
     pub fn compile(&self, graph: &FlatGraph) -> Result<ResilientCompiled> {
         let opts = &self.opts.compile;
-        let fe = compile_front(graph, opts)?;
+        let fe = compile_front(graph, opts, &self.memo)?;
         let num_sms = opts.device.num_sms;
         let mut attempts = Vec::new();
 

@@ -6,14 +6,26 @@
 //! will lay them out. Infeasible points (register file exhausted) are
 //! recorded as such; feasible points record the per-instance execution
 //! time the ILP will use as `d(v)`.
+//!
+//! A grid point's time depends only on the node's work function and the
+//! point itself, never on the node's place in the graph or on the
+//! device's SM count (one instance runs on one SM). [`ProfileMemo`]
+//! exploits that: it content-addresses every measured point, so a work
+//! function repeated across a graph — or across the slice widths and
+//! fault policies one serving cache compiles — is simulated once.
+
+use std::collections::HashMap;
+use std::fmt::{self, Write as _};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use gpusim::{
     BlockWork, BufferBinding, DeviceConfig, Gpu, InstanceExec, Launch, Layout, SimError,
     TimingModel,
 };
 use streamir::graph::{FlatGraph, NodeId};
-use streamir::ir::{ElemTy, Scalar};
+use streamir::ir::{ElemTy, Scalar, WorkFunction};
 
+use crate::hash::Fnv;
 use crate::Result;
 
 /// Cycles per integer scheduling time unit: delays handed to the ILP are
@@ -129,7 +141,7 @@ pub fn synthetic_token(ty: ElemTy, i: u64) -> Scalar {
 }
 
 /// Profiles every node of `graph` over the grid (the paper's Figure 6
-/// loop).
+/// loop). Nodes with identical work functions are simulated once.
 ///
 /// # Errors
 ///
@@ -142,16 +154,43 @@ pub fn profile(
     device: &DeviceConfig,
     timing: &TimingModel,
 ) -> Result<ProfileTable> {
+    profile_memoized(graph, opts, device, timing, &ProfileMemo::default())
+}
+
+/// [`profile`] through a caller-owned memo: grid points already measured
+/// by any earlier call on the same memo are looked up, not simulated.
+/// The table is bit-identical to a fresh [`profile`] call.
+///
+/// # Errors
+///
+/// As for [`profile`]. A point whose simulation errors is not memoized.
+pub fn profile_memoized(
+    graph: &FlatGraph,
+    opts: &ProfileOptions,
+    device: &DeviceConfig,
+    timing: &TimingModel,
+    memo: &ProfileMemo,
+) -> Result<ProfileTable> {
+    let context = context_digest(opts, device, timing);
     let mut times = Vec::with_capacity(graph.len());
     for node_idx in 0..graph.len() {
         let node = NodeId(node_idx as u32);
+        let work = work_digest(&graph.node(node).work);
         let mut per_reg = Vec::with_capacity(opts.reg_limits.len());
         for &regs in &opts.reg_limits {
             let mut per_thr = Vec::with_capacity(opts.thread_counts.len());
             for &threads in &opts.thread_counts {
-                per_thr.push(profile_one(
-                    graph, node, regs, threads, opts, device, timing,
-                )?);
+                let key = combine(context, work, regs, threads);
+                let cycles = match memo.get(key) {
+                    Some(cycles) => cycles,
+                    None => {
+                        let cycles =
+                            profile_point(graph, node, regs, threads, opts, device, timing)?;
+                        memo.insert(key, cycles);
+                        cycles
+                    }
+                };
+                per_thr.push(cycles);
             }
             per_reg.push(per_thr);
         }
@@ -164,9 +203,131 @@ pub fn profile(
     })
 }
 
-/// One grid point: run a single instance (one thread-block-wide firing)
-/// and return its SM-busy cycles, or `None` when infeasible.
-fn profile_one(
+/// A content-addressed memo of profiled grid points: point key →
+/// measured cycles (`None` for an infeasible point, which is memoized
+/// too). Clones share one map, so a cache or engine hands the same memo
+/// to every compile it runs, worker threads included; values are pure
+/// functions of their keys, so sharing cannot change any result.
+///
+/// There is deliberately no process-wide instance: a memo lives exactly
+/// as long as its owner, and a fresh owner starts cold.
+#[derive(Clone, Default)]
+pub struct ProfileMemo(Arc<Mutex<HashMap<u64, Option<f64>>>>);
+
+impl ProfileMemo {
+    /// Points memoized so far.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.map().len()
+    }
+
+    /// `true` when nothing has been memoized yet.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.map().is_empty()
+    }
+
+    fn get(&self, key: u64) -> Option<Option<f64>> {
+        self.map().get(&key).copied()
+    }
+
+    fn insert(&self, key: u64, cycles: Option<f64>) {
+        self.map().insert(key, cycles);
+    }
+
+    fn map(&self) -> MutexGuard<'_, HashMap<u64, Option<f64>>> {
+        // A panic elsewhere cannot leave a half-written entry behind
+        // (every insert is one map operation), so a poisoned lock is
+        // still consistent.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl fmt::Debug for ProfileMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "ProfileMemo({} points)", self.len())
+    }
+}
+
+/// The memo key of one grid point: a hash over everything
+/// [`profile_point`] reads — the work function's full content, the point,
+/// the buffer regime, the device shape minus the SM count, and the
+/// timing model.
+#[must_use]
+pub fn point_key(
+    work: &WorkFunction,
+    regs: u32,
+    threads: u32,
+    opts: &ProfileOptions,
+    device: &DeviceConfig,
+    timing: &TimingModel,
+) -> u64 {
+    combine(
+        context_digest(opts, device, timing),
+        work_digest(work),
+        regs,
+        threads,
+    )
+}
+
+fn combine(context: u64, work: u64, regs: u32, threads: u32) -> u64 {
+    let mut h = Fnv::new();
+    h.u64(context);
+    h.u64(work);
+    h.u64(u64::from(regs));
+    h.u64(u64::from(threads));
+    h.finish()
+}
+
+/// The per-call part of a point key. `profile_point` runs one instance on
+/// one SM of a device whose memory it resizes itself, so neither
+/// `num_sms` nor `device_mem_words` can change a measurement; both are
+/// normalized out so every slice width shares its points.
+fn context_digest(opts: &ProfileOptions, device: &DeviceConfig, timing: &TimingModel) -> u64 {
+    let device = DeviceConfig {
+        num_sms: 0,
+        device_mem_words: 0,
+        ..device.clone()
+    };
+    let mut h = Fnv::new();
+    let _ = write!(
+        h,
+        "{:?}/{}/{device:?}/{timing:?}",
+        opts.layout, opts.shared_staging
+    );
+    h.finish()
+}
+
+/// The content digest of a work function: its full `Debug` rendering
+/// (ports, locals, arrays, tables, states, body), plus the raw bits of
+/// every table value and state initializer so even float payloads the
+/// rendering cannot tell apart (NaNs) key separately. Unlike
+/// `to_pretty`, which prints a table as `[ty; len]`, this sees values.
+fn work_digest(work: &WorkFunction) -> u64 {
+    let mut h = Fnv::new();
+    let _ = write!(h, "{work:?}");
+    let values = work.tables().iter().flat_map(|t| &t.values);
+    for &v in values.chain(work.states().iter().map(|s| &s.init)) {
+        h.u64(scalar_bits(v));
+    }
+    h.finish()
+}
+
+fn scalar_bits(v: Scalar) -> u64 {
+    match v {
+        Scalar::I32(x) => u64::from(x as u32),
+        Scalar::F32(x) => (1 << 32) | u64::from(x.to_bits()),
+    }
+}
+
+/// One grid point, always simulated (never memoized): run a single
+/// instance of `node` (one thread-block-wide firing) and return its
+/// SM-busy cycles, or `None` when infeasible.
+///
+/// # Errors
+///
+/// As for [`profile`].
+pub fn profile_point(
     graph: &FlatGraph,
     node: NodeId,
     regs: u32,

@@ -11,12 +11,29 @@ use crate::{Error, Result};
 
 /// Process-wide count of scheduler entries ([`find`] calls and direct
 /// [`heuristic::schedule`] calls). The compilation cache's tests assert
-/// this stays flat across a cache hit — the observable proof that a hit
-/// served a stored schedule instead of re-running the search.
+/// this (or, in unit tests, its per-thread share) stays flat across a
+/// cache hit — the observable proof that a hit served a stored schedule
+/// instead of re-running the search.
 static SEARCH_INVOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+#[cfg(test)]
+thread_local! {
+    /// This thread's share of [`SEARCH_INVOCATIONS`]: unit tests run in
+    /// parallel, so a "no search on this call" assertion must not count
+    /// other tests' compiles.
+    static THREAD_SEARCH_INVOCATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 fn note_search_invocation() {
     SEARCH_INVOCATIONS.fetch_add(1, Ordering::Relaxed);
+    #[cfg(test)]
+    THREAD_SEARCH_INVOCATIONS.with(|c| c.set(c.get() + 1));
+}
+
+/// Scheduler entries made on the calling thread (unit tests only).
+#[cfg(test)]
+pub(crate) fn thread_search_invocations() -> u64 {
+    THREAD_SEARCH_INVOCATIONS.with(std::cell::Cell::get)
 }
 
 /// Scheduler entries since process start (monotone; never reset).

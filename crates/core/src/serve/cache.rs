@@ -34,6 +34,7 @@ use crate::pipeline::{
     DegradationReport, LadderRung, PipelineOptions, ResilientCompiled, ResilientPipeline,
 };
 use crate::plan::{self, LayoutKind};
+use crate::profile::ProfileMemo;
 use crate::schedule::{Schedule, SearchReport};
 use crate::{verify, Error, Result};
 
@@ -152,6 +153,7 @@ pub struct CompilationCache {
     entries: HashMap<u64, Entry>,
     tick: u64,
     stats: CacheStats,
+    memo: ProfileMemo,
 }
 
 impl CompilationCache {
@@ -163,7 +165,17 @@ impl CompilationCache {
             entries: HashMap::new(),
             tick: 0,
             stats: CacheStats::default(),
+            memo: ProfileMemo::default(),
         }
+    }
+
+    /// The profiling memo every compile this cache runs shares: a filter
+    /// is profiled once per grid point, not once per slice width × fault
+    /// policy (profiles do not depend on either). Asynchronous compiles
+    /// ([`super::EventEngine`]'s workers) take a clone.
+    #[must_use]
+    pub(crate) fn profile_memo(&self) -> &ProfileMemo {
+        &self.memo
     }
 
     /// Counters so far.
@@ -220,7 +232,10 @@ impl CompilationCache {
                  synchronous get_or_compile cannot wait on it"
             ))),
             Lookup::Miss(key) => {
-                let artifact = match ResilientPipeline::new(opts.clone()).compile(graph) {
+                let artifact = match ResilientPipeline::new(opts.clone())
+                    .with_memo(self.memo.clone())
+                    .compile(graph)
+                {
                     Ok(a) => a,
                     Err(e) => {
                         self.abandon(key);
@@ -258,6 +273,15 @@ impl CompilationCache {
         if let Some(e) = self.entries.get_mut(&key) {
             e.last_used = self.tick;
             match &e.slot {
+                // Content guard: the key hashes the graph's printed form,
+                // which omits table values, so two programs can share a
+                // key. A stored artifact compiled for a different graph
+                // is a miss; the recompile takes over the slot.
+                Slot::Ready(artifact) if artifact.compiled.graph != *graph => {
+                    e.slot = Slot::Reserved;
+                    self.stats.misses += 1;
+                    return Ok(Lookup::Miss(key));
+                }
                 Slot::Ready(artifact) => {
                     let artifact = artifact.clone();
                     verify_artifact(&artifact)?;
@@ -625,11 +649,11 @@ mod tests {
         let mut cache = CompilationCache::new(CacheOptions::default());
         let (fresh, hit) = cache.get_or_compile(&g, &opts).unwrap();
         assert!(!hit);
-        let before = schedule::search_invocations();
+        let before = schedule::thread_search_invocations();
         let (cached, hit) = cache.get_or_compile(&g, &opts).unwrap();
         assert!(hit);
         assert_eq!(
-            schedule::search_invocations(),
+            schedule::thread_search_invocations(),
             before,
             "a cache hit must not invoke the scheduler"
         );
@@ -724,10 +748,10 @@ mod tests {
         // A brand-new cache (fresh process, in effect) must hit via disk
         // without invoking the scheduler.
         let mut second = CompilationCache::new(copts);
-        let before = schedule::search_invocations();
+        let before = schedule::thread_search_invocations();
         let (reloaded, hit) = second.get_or_compile(&g, &opts).unwrap();
         assert!(hit, "disk entry must be a hit");
-        assert_eq!(schedule::search_invocations(), before);
+        assert_eq!(schedule::thread_search_invocations(), before);
         assert_eq!(second.stats().disk_loads, 1);
         assert_eq!(reloaded.compiled.schedule, fresh.compiled.schedule);
         assert_eq!(reloaded.compiled.exec_cfg, fresh.compiled.exec_cfg);

@@ -55,7 +55,7 @@ use std::thread::JoinHandle;
 
 use serde::Serialize;
 
-use crate::pipeline::{FaultPolicy, ResilientCompiled, ResilientPipeline};
+use crate::pipeline::{FaultPolicy, PipelineOptions, ResilientCompiled, ResilientPipeline};
 use crate::schedule::SearchInterrupt;
 use crate::serve::cache::{verify_artifact, CacheStats, CompilationCache, Lookup};
 use crate::serve::metrics::{ServeMetrics, ServeReport, TenantReport};
@@ -185,6 +185,9 @@ impl PendingCompile {
 /// A dispatched cache-miss job awaiting its compile.
 struct PendingJob {
     key: u64,
+    /// The options the job's compile was reserved under (for the
+    /// content guard in [`EventEngine::compiled_for`]).
+    popts: PipelineOptions,
     slice: Slice,
     /// The job's clamped arrival instant — `start` is computed against
     /// *this*, not against the clock at resolution time.
@@ -600,6 +603,7 @@ impl EventEngine {
                 // owner's job stays queued until its own resolution
                 // point) and serve verified, like any other hit.
                 let artifact = self.artifact_for(run, key)?;
+                let artifact = self.compiled_for(artifact, &run.jobs[i].graph, &popts)?;
                 verify_artifact(&artifact)?;
                 self.complete_job(run, i, &artifact, true, slice, now)?;
                 self.log(ev, EventKind::Dispatch, format!("job={i} pending-hit"));
@@ -614,6 +618,7 @@ impl EventEngine {
                     i,
                     PendingJob {
                         key,
+                        popts,
                         slice,
                         arrival: now,
                     },
@@ -630,18 +635,27 @@ impl EventEngine {
         &mut self,
         run: &mut RunState,
         key: u64,
-        graph: &streamir::graph::FlatGraph,
-        popts: &crate::pipeline::PipelineOptions,
+        graph: &FlatGraph,
+        popts: &PipelineOptions,
     ) -> Result<()> {
         while run.pending.len() >= self.workers {
             let oldest = run.pending.remove(0);
             self.join_and_fulfill(run, oldest)?;
         }
+        // A key joined earlier may be compiled again (its slot was
+        // evicted, or it held another program with the same key): later
+        // joins of this key must wait for the new compile.
+        run.ready.remove(&key);
         let interrupt = SearchInterrupt::armed();
         let mut copts = popts.clone();
         copts.compile.search.interrupt = interrupt.clone();
         let graph = graph.clone();
-        let handle = std::thread::spawn(move || ResilientPipeline::new(copts).compile(&graph));
+        let memo = self.cache.profile_memo().clone();
+        let handle = std::thread::spawn(move || {
+            ResilientPipeline::new(copts)
+                .with_memo(memo)
+                .compile(&graph)
+        });
         run.pending.push(PendingCompile {
             key,
             interrupt,
@@ -680,6 +694,24 @@ impl EventEngine {
         Ok(run.ready[&key].clone())
     }
 
+    /// Content guard for joined compiles: two programs can share a cache
+    /// key ([`crate::serve::cache_key`] omits table values), so an
+    /// artifact joined by key is served only if it was compiled for
+    /// `graph`; otherwise `graph` is compiled on the spot.
+    fn compiled_for(
+        &self,
+        artifact: ResilientCompiled,
+        graph: &FlatGraph,
+        popts: &PipelineOptions,
+    ) -> Result<ResilientCompiled> {
+        if artifact.compiled.graph == *graph {
+            return Ok(artifact);
+        }
+        ResilientPipeline::new(popts.clone())
+            .with_memo(self.cache.profile_memo().clone())
+            .compile(graph)
+    }
+
     /// Completes every pending cache-miss job of `tenant`, oldest
     /// first. Called before any same-tenant dispatch (and at drain), so
     /// per-tenant completion order equals arrival order — the invariant
@@ -692,6 +724,7 @@ impl EventEngine {
                 .pop_front();
             let meta = run.job_meta.remove(&i).expect("pending job has metadata");
             let artifact = self.artifact_for(run, meta.key)?;
+            let artifact = self.compiled_for(artifact, &run.jobs[i].graph, &meta.popts)?;
             self.complete_job(run, i, &artifact, false, meta.slice, meta.arrival)?;
         }
         Ok(())

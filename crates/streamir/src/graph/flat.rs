@@ -27,7 +27,7 @@ pub enum Role {
 }
 
 /// A node of the flat graph.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// Diagnostic name (unique within the graph, suffix-disambiguated).
     pub name: String,
@@ -38,7 +38,7 @@ pub struct Node {
 }
 
 /// A FIFO channel between two node ports.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Edge {
     /// Producer node.
     pub src: NodeId,
@@ -62,7 +62,10 @@ pub struct Edge {
 /// Construct via [`crate::graph::StreamSpec::flatten`]; a `FlatGraph` value
 /// satisfies the structural invariants (all internal ports connected exactly
 /// once, matching element types).
-#[derive(Debug, Clone)]
+///
+/// Equality is structural and covers every table value and state
+/// initializer; float tokens compare as IEEE values.
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlatGraph {
     pub(crate) nodes: Vec<Node>,
     pub(crate) edges: Vec<Edge>,

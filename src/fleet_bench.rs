@@ -371,45 +371,89 @@ fn print_report(name: &str, r: &FleetReport) {
     );
 }
 
+/// A parsed `fleet_bench` command line.
+#[derive(Debug)]
+struct Cli {
+    chaos: bool,
+    check: Option<String>,
+    seed: u64,
+    devices: u32,
+    rounds: usize,
+    iterations: u64,
+}
+
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
+    let mut cli = Cli {
+        chaos: false,
+        check: None,
+        seed: FULL_SEED,
+        devices: FULL_DEVICES,
+        rounds: FULL_ROUNDS,
+        iterations: FULL_ITERATIONS,
+    };
+    let mut args = args.into_iter();
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--chaos" => cli.chaos = true,
+            "--check" => cli.check = Some(args.next().ok_or("--check needs a path")?),
+            "--seed" => cli.seed = number(&mut args, "--seed")?,
+            "--devices" => cli.devices = number(&mut args, "--devices")?,
+            "--rounds" => cli.rounds = number(&mut args, "--rounds")?,
+            "--iterations" => cli.iterations = number(&mut args, "--iterations")?,
+            other => return Err(format!("unknown flag {other}")),
+        }
+    }
+    Ok(cli)
+}
+
+/// The value after flag `name`, parsed into the flag's own type (so an
+/// out-of-range value is an error, not a truncation).
+fn number<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    name: &str,
+) -> Result<T, String> {
+    let v = args
+        .next()
+        .ok_or_else(|| format!("{name} needs a number"))?;
+    v.parse()
+        .map_err(|_| format!("{name} needs a number, got '{v}'"))
+}
+
+/// Prints `msg` and the usage text to stderr and exits with code 2.
+fn usage_error(msg: &str) -> ! {
+    eprint!(
+        "fleet_bench: {msg}\n\n\
+         USAGE:\n    fleet_bench [--chaos] [--check <path>] [--seed N] [--devices N] \
+         [--rounds N] [--iterations N]\n"
+    );
+    std::process::exit(2);
+}
+
 /// Entry point for the `fleet_bench` binary.
 ///
 /// Flags: `--chaos` (write `FLEET_chaos.json` with the decision log),
 /// `--check <path>` (exit non-zero if the committed artifact at `path`
 /// has drifted from a fresh run — the CI gate mirroring
 /// `serve_bench --check`), `--seed N`, `--devices N`, `--rounds N`,
-/// `--iterations N`.
+/// `--iterations N`. A malformed flag or an unreadable `--check` path
+/// prints a usage error and exits with code 2 before any benchmark work.
 ///
 /// # Panics
 ///
-/// Panics on malformed flags or when an acceptance assertion fails.
+/// Panics when an acceptance assertion fails.
 pub fn main() {
-    let mut chaos = false;
-    let mut check: Option<String> = None;
-    let mut seed: u64 = FULL_SEED;
-    let mut devices = FULL_DEVICES;
-    let mut rounds = FULL_ROUNDS;
-    let mut iterations = FULL_ITERATIONS;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut num = |name: &str| -> u64 {
-            args.next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("{name} needs a number"))
-        };
-        match a.as_str() {
-            "--chaos" => chaos = true,
-            "--check" => check = Some(args.next().expect("--check needs a path")),
-            "--seed" => seed = num("--seed"),
-            "--devices" => devices = num("--devices") as u32,
-            "--rounds" => rounds = num("--rounds") as usize,
-            "--iterations" => iterations = num("--iterations"),
-            other => panic!("unknown flag {other}"),
-        }
-    }
+    let Cli {
+        chaos,
+        check,
+        seed,
+        devices,
+        rounds,
+        iterations,
+    } = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| usage_error(&e));
 
     if let Some(path) = check {
-        let committed =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+        let committed = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| usage_error(&format!("cannot read {path}: {e}")));
         let fresh = run_bench(rounds, iterations, devices, seed);
         match check_drift(&fresh, &committed) {
             Ok(()) => println!("{path}: no drift against a fresh run"),
@@ -506,6 +550,20 @@ pub fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn arguments_parse_or_report_usage_errors() {
+        let parse = |a: &[&str]| parse_args(a.iter().map(|s| (*s).to_string()));
+        let cli = parse(&["--chaos", "--seed", "7", "--devices", "4"]).unwrap();
+        assert!(cli.chaos);
+        assert_eq!((cli.seed, cli.devices), (7, 4));
+        assert_eq!(parse(&[]).unwrap().rounds, FULL_ROUNDS);
+        assert!(parse(&["--seed", "seven"]).unwrap_err().contains("seven"));
+        assert!(parse(&["--seed"]).is_err());
+        assert!(parse(&["--devices", "4294967297"]).is_err());
+        assert!(parse(&["--check"]).is_err());
+        assert!(parse(&["--bogus"]).unwrap_err().contains("--bogus"));
+    }
 
     /// A cheap report for drift-gate tests: one tiny solo run stands in
     /// for all three configurations (the gate compares JSON trees; it

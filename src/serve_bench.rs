@@ -533,6 +533,66 @@ pub fn check_graph_drift(fresh: &GraphBenchReport, committed: &str) -> Result<()
     }
 }
 
+/// One `serve_bench` invocation, as parsed from its arguments.
+#[derive(Debug, PartialEq)]
+enum Mode {
+    /// Run the benchmark and write `BENCH_serve.json`.
+    Run,
+    /// `--check <path>`: drift-gate a committed artifact.
+    Check(String),
+    /// `--warm [baseline]`: the warm-started differential.
+    Warm(String),
+    /// `--graph`: the graph-dispatch differential.
+    Graph,
+    /// `--graph --check <path>`: drift-gate the committed graph artifact.
+    GraphCheck(String),
+}
+
+fn parse_args(args: &[String]) -> Result<Mode, String> {
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    match args.as_slice() {
+        [] => Ok(Mode::Run),
+        ["--check", path] => Ok(Mode::Check((*path).to_string())),
+        ["--warm"] => Ok(Mode::Warm("BENCH_serve.json".to_string())),
+        ["--warm", path] => Ok(Mode::Warm((*path).to_string())),
+        ["--graph"] => Ok(Mode::Graph),
+        ["--graph", "--check", path] => Ok(Mode::GraphCheck((*path).to_string())),
+        ["--check"] | ["--graph", "--check"] => Err("--check needs a path".to_string()),
+        other => Err(format!("unknown arguments {other:?}")),
+    }
+}
+
+/// Prints `msg` and the usage text to stderr and exits with code 2.
+fn usage_error(msg: &str) -> ! {
+    eprint!(
+        "serve_bench: {msg}\n\n\
+         USAGE:\n    serve_bench [--check <path> | --warm [baseline] | --graph [--check <path>]]\n"
+    );
+    std::process::exit(2);
+}
+
+/// Reads a committed artifact named on the command line, before any
+/// benchmark work starts; an unreadable path is a usage error.
+fn read_committed(path: &str) -> String {
+    std::fs::read_to_string(path)
+        .unwrap_or_else(|e| usage_error(&format!("cannot read {path}: {e}")))
+}
+
+/// Prints a drift gate's verdict; exits 1 on drift.
+fn report_drift(path: &str, verdict: Result<(), Vec<String>>, regenerate: &str) {
+    match verdict {
+        Ok(()) => println!("{path}: no drift against a fresh run"),
+        Err(drifts) => {
+            eprintln!("{path} has drifted from a fresh run:");
+            for d in &drifts {
+                eprintln!("  - {d}");
+            }
+            eprintln!("regenerate with: {regenerate}");
+            std::process::exit(1);
+        }
+    }
+}
+
 /// Entry point for the `serve_bench` binary.
 ///
 /// With no arguments, runs the full benchmark and writes
@@ -545,85 +605,71 @@ pub fn check_graph_drift(fresh: &GraphBenchReport, committed: &str) -> Result<()
 /// `BENCH_serve_warm.json`. With `--graph`, runs the graph-dispatch
 /// differential ([`run_graph_differential`]) and writes
 /// `BENCH_serve_graph.json`; `--graph --check <path>` drift-gates the
-/// committed artifact instead.
+/// committed artifact instead. Unknown arguments or an unreadable path
+/// print a usage error and exit with code 2 before any benchmark work.
 pub fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("--graph") {
-        let fresh = run_graph_differential(GRAPH_ROUNDS, GRAPH_ITERATIONS);
-        if args.get(1).map(String::as_str) == Some("--check") {
-            let path = args.get(2).expect("--graph --check needs a path");
-            let committed =
-                std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-            match check_graph_drift(&fresh, &committed) {
-                Ok(()) => println!("{path}: no drift against a fresh run"),
-                Err(drifts) => {
-                    eprintln!("{path} has drifted from a fresh run:");
-                    for d in &drifts {
-                        eprintln!("  - {d}");
-                    }
-                    eprintln!("regenerate with: cargo run --release --bin serve_bench -- --graph");
-                    std::process::exit(1);
-                }
-            }
+    let mode = parse_args(&args).unwrap_or_else(|e| usage_error(&e));
+    match mode {
+        Mode::Run => {}
+        Mode::Check(path) => {
+            let committed = read_committed(&path);
+            let fresh = run_trace(FULL_ROUNDS, FULL_ITERATIONS);
+            report_drift(
+                &path,
+                check_drift(&fresh, &committed),
+                "cargo run --release --bin serve_bench",
+            );
             return;
         }
-        assert!(args.len() == 1, "unknown arguments {args:?}");
-        for t in &fresh.tenants {
+        Mode::Warm(path) => {
+            let committed = read_committed(&path);
+            let warm = run_warm_differential(FULL_ROUNDS, FULL_ITERATIONS, &committed);
             println!(
-                "{:>18}  host {:>12} cy  graph {:>12} cy  capture {:>9} cy  \
-                 {:>4} replays  net saved {:>12} cy",
-                t.tenant,
-                t.host_launch_cycles,
-                t.graph_launch_cycles,
-                t.graph_capture_cycles,
-                t.graph_replays,
-                t.net_saved_cycles,
+                "warm-started: cache {} hits / {} misses (hit rate {:.3})",
+                warm.cache.hits, warm.cache.misses, warm.cache_hit_rate
             );
+            write_report(&warm, "BENCH_serve_warm.json");
+            println!("wrote BENCH_serve_warm.json");
+            return;
         }
-        println!(
-            "launch path: {} -> {} cycles ({:.1}% cut, {} net after {} capture cycles)",
-            fresh.host_launch_cycles,
-            fresh.graph_launch_cycles,
-            fresh.saved_share * 100.0,
-            fresh.net_saved_cycles,
-            fresh.graph_capture_cycles,
-        );
-        write_report(&fresh, "BENCH_serve_graph.json");
-        println!("wrote BENCH_serve_graph.json");
-        return;
-    }
-    if args.first().map(String::as_str) == Some("--warm") {
-        let path = args.get(1).map_or("BENCH_serve.json", String::as_str);
-        let committed =
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-        let warm = run_warm_differential(FULL_ROUNDS, FULL_ITERATIONS, &committed);
-        println!(
-            "warm-started: cache {} hits / {} misses (hit rate {:.3})",
-            warm.cache.hits, warm.cache.misses, warm.cache_hit_rate
-        );
-        write_report(&warm, "BENCH_serve_warm.json");
-        println!("wrote BENCH_serve_warm.json");
-        return;
-    }
-    if args.first().map(String::as_str) == Some("--check") {
-        let path = args.get(1).expect("--check needs a path");
-        let committed =
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-        let fresh = run_trace(FULL_ROUNDS, FULL_ITERATIONS);
-        match check_drift(&fresh, &committed) {
-            Ok(()) => println!("{path}: no drift against a fresh run"),
-            Err(drifts) => {
-                eprintln!("{path} has drifted from a fresh run:");
-                for d in &drifts {
-                    eprintln!("  - {d}");
-                }
-                eprintln!("regenerate with: cargo run --release --bin serve_bench");
-                std::process::exit(1);
+        Mode::GraphCheck(path) => {
+            let committed = read_committed(&path);
+            let fresh = run_graph_differential(GRAPH_ROUNDS, GRAPH_ITERATIONS);
+            report_drift(
+                &path,
+                check_graph_drift(&fresh, &committed),
+                "cargo run --release --bin serve_bench -- --graph",
+            );
+            return;
+        }
+        Mode::Graph => {
+            let fresh = run_graph_differential(GRAPH_ROUNDS, GRAPH_ITERATIONS);
+            for t in &fresh.tenants {
+                println!(
+                    "{:>18}  host {:>12} cy  graph {:>12} cy  capture {:>9} cy  \
+                     {:>4} replays  net saved {:>12} cy",
+                    t.tenant,
+                    t.host_launch_cycles,
+                    t.graph_launch_cycles,
+                    t.graph_capture_cycles,
+                    t.graph_replays,
+                    t.net_saved_cycles,
+                );
             }
+            println!(
+                "launch path: {} -> {} cycles ({:.1}% cut, {} net after {} capture cycles)",
+                fresh.host_launch_cycles,
+                fresh.graph_launch_cycles,
+                fresh.saved_share * 100.0,
+                fresh.net_saved_cycles,
+                fresh.graph_capture_cycles,
+            );
+            write_report(&fresh, "BENCH_serve_graph.json");
+            println!("wrote BENCH_serve_graph.json");
+            return;
         }
-        return;
     }
-    assert!(args.is_empty(), "unknown arguments {args:?}");
 
     let report = run_trace(FULL_ROUNDS, FULL_ITERATIONS);
     for t in &report.tenants {
@@ -692,6 +738,26 @@ mod tests {
             drifts.iter().any(|d| d.contains("cache.hits")),
             "stale counter must be flagged: {drifts:?}"
         );
+    }
+
+    #[test]
+    fn arguments_parse_into_modes_or_usage_errors() {
+        let parse =
+            |a: &[&str]| parse_args(&a.iter().map(|s| (*s).to_string()).collect::<Vec<_>>());
+        assert_eq!(parse(&[]), Ok(Mode::Run));
+        assert_eq!(parse(&["--check", "x"]), Ok(Mode::Check("x".into())));
+        assert_eq!(
+            parse(&["--warm"]),
+            Ok(Mode::Warm("BENCH_serve.json".into()))
+        );
+        assert_eq!(
+            parse(&["--graph", "--check", "g"]),
+            Ok(Mode::GraphCheck("g".into()))
+        );
+        assert!(parse(&["--check"]).is_err());
+        assert!(parse(&["--graph", "--check"]).is_err());
+        assert!(parse(&["--graph", "extra"]).is_err());
+        assert!(parse(&["--bogus"]).is_err());
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use proptest::prelude::*;
 use streamir::graph::{FilterSpec, FlatGraph, StreamSpec};
-use streamir::ir::{ElemTy, Expr, FnBuilder, Scalar};
+use streamir::ir::{ElemTy, Expr, FnBuilder, Scalar, Table};
 
 use gpusim::{DeviceFaultPlan, DeviceId};
 use stream_gpu::fleet_bench;
@@ -290,6 +290,52 @@ fn loss_with_no_usable_target_rejects_instead_of_losing() {
         report.router_decisions > 0 && engine.router_log().iter().any(|d| d.action == "abandon"),
         "the abandon is logged"
     );
+}
+
+/// `x * table[0]`: programs that differ only in the table share a
+/// cache key.
+fn table_scale_job(table: &[i32]) -> Job {
+    let mut f = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
+    let t = f.table(Table::i32(table));
+    let x = f.local(ElemTy::I32);
+    f.pop_into(0, x);
+    f.push(0, Expr::local(x).mul(Expr::table(t, Expr::i32(0))));
+    Job {
+        tenant: "scale".to_string(),
+        graph: StreamSpec::filter(FilterSpec::new("scale", f.build().unwrap()))
+            .flatten()
+            .unwrap(),
+        input: |n| (1..=n).map(|i| Scalar::I32(i as i32)).collect(),
+        iterations: 1,
+        qos: QosClass::Batch,
+    }
+}
+
+/// Fleet twin of the serving cache's collision regression: a store
+/// entry compiled for a program with the same key but other table
+/// values is a miss, never a hit serving the wrong outputs.
+#[test]
+fn colliding_store_keys_never_serve_another_programs_artifact() {
+    let trace = vec![
+        (table_scale_job(&[2, 3]), 0.0),
+        (table_scale_job(&[3, 4]), 5.0),
+    ];
+    let mut engine = FleetEngine::new(no_hedge(FleetOptions {
+        devices: 2,
+        ..FleetOptions::default()
+    }));
+    let verdicts = engine.run(&trace).expect("trace serves");
+    let scaled = |v: &FleetVerdict, k: i32| {
+        let out = outputs_of(v);
+        assert!(!out.is_empty());
+        let want: Vec<Scalar> = (1..=out.len() as i32).map(|x| Scalar::I32(k * x)).collect();
+        assert_eq!(out, want.as_slice());
+    };
+    scaled(&verdicts[0], 2);
+    scaled(&verdicts[1], 3);
+    let store = engine.report().store;
+    assert_eq!(store.misses, 2, "the colliding entry must miss");
+    assert_eq!(store.local_hits + store.remote_hits, 0);
 }
 
 /// The replication dividend: after a device kill forces a tenant off

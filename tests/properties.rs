@@ -4,13 +4,16 @@
 //! invariant being that every path preserves the sequential stream
 //! semantics bit-for-bit.
 
+use gpusim::{DeviceConfig, TimingModel};
 use proptest::prelude::*;
 use streamir::cpu::{self, CpuCostModel};
-use streamir::graph::{FilterSpec, SplitterKind, StreamSpec};
-use streamir::ir::{ElemTy, Expr, FnBuilder, Scalar, Stmt};
+use streamir::graph::{FilterSpec, NodeId, SplitterKind, StreamSpec};
+use streamir::ir::{ElemTy, Expr, FnBuilder, Scalar, Stmt, Table, WorkFunction};
 use swpipe::exec::{self, CompileOptions, Scheme};
 use swpipe::instances::{self, ExecConfig};
+use swpipe::profile::{self, ProfileMemo, ProfileOptions};
 use swpipe::schedule::{self, SchedulerKind, SearchOptions};
+use swpipe::serve::ServeOptions;
 
 /// A random arithmetic map filter with the given pop/push rates.
 fn rate_filter(name: String, pop: u32, push: u32, seed: i32) -> StreamSpec {
@@ -366,4 +369,146 @@ proptest! {
             prop_assert_eq!(&counts, &info.census);
         }
     }
+}
+
+/// A profile table as raw bits, so equality is bit-for-bit.
+fn table_bits(t: &profile::ProfileTable) -> Vec<Vec<Vec<Option<u64>>>> {
+    t.times
+        .iter()
+        .map(|node| {
+            node.iter()
+                .map(|row| row.iter().map(|c| c.map(f64::to_bits)).collect())
+                .collect()
+        })
+        .collect()
+}
+
+/// The profile memo's soundness contract: for every suite benchmark and
+/// every grid the compiler profiles with (the serving grid and the
+/// paper's coalesced and uncoalesced grids), a memoized table equals a
+/// naive per-node, per-point simulation at 16 SMs bit for bit, at every
+/// SM count serving compiles for. One memo per (grid, SM count) spans
+/// the whole suite, so each distinct work function is simulated once
+/// per SM count and reused across nodes and benchmarks. The memo key
+/// leaves `num_sms` out; this pins that a measurement cannot depend on
+/// it.
+#[test]
+fn memoized_profiles_equal_naive_per_node_profiles() {
+    let timing = TimingModel::gts512();
+    let device = |num_sms| DeviceConfig {
+        num_sms,
+        ..DeviceConfig::gts512()
+    };
+    let sm_counts = [1, 2, 3, 4, 5, 16];
+    let grids = [
+        ServeOptions::default().profile,
+        ProfileOptions::paper(),
+        ProfileOptions::paper_no_coalesce(),
+    ];
+    let suite: Vec<_> = streambench::suite()
+        .iter()
+        .map(|b| (b.name, b.spec.flatten().unwrap()))
+        .collect();
+    for grid in &grids {
+        let memos: Vec<ProfileMemo> = sm_counts.iter().map(|_| ProfileMemo::default()).collect();
+        for (name, g) in &suite {
+            let naive: Vec<Vec<Vec<Option<u64>>>> = (0..g.len())
+                .map(|n| {
+                    grid.reg_limits
+                        .iter()
+                        .map(|&regs| {
+                            grid.thread_counts
+                                .iter()
+                                .map(|&threads| {
+                                    profile::profile_point(
+                                        g,
+                                        NodeId(n as u32),
+                                        regs,
+                                        threads,
+                                        grid,
+                                        &device(16),
+                                        &timing,
+                                    )
+                                    .unwrap()
+                                    .map(f64::to_bits)
+                                })
+                                .collect()
+                        })
+                        .collect()
+                })
+                .collect();
+            for (&num_sms, memo) in sm_counts.iter().zip(&memos) {
+                let table =
+                    profile::profile_memoized(g, grid, &device(num_sms), &timing, memo).unwrap();
+                assert_eq!(
+                    table_bits(&table),
+                    naive,
+                    "{name} at {num_sms} SMs, grid {grid:?}"
+                );
+            }
+        }
+        // Duplicate filters were merged: fewer points than nodes × grid.
+        let nodes: usize = suite.iter().map(|(_, g)| g.len()).sum();
+        let per_node = grid.reg_limits.len() * grid.thread_counts.len();
+        assert!(memos[0].len() < nodes * per_node, "grid {grid:?}");
+    }
+}
+
+/// Two work functions that differ only in one table value, or only in
+/// one state initializer, must never share a memo key (the printed form
+/// `to_pretty` shows a table as `[ty; len]` and would merge them).
+#[test]
+fn profile_point_keys_see_table_values_and_state_inits() {
+    let with = |table: &[i32], init: i32| {
+        let mut f = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
+        let t = f.table(Table::i32(table));
+        let s = f.state(ElemTy::I32, Scalar::I32(init));
+        let x = f.local(ElemTy::I32);
+        f.pop_into(0, x);
+        f.store_state(s, Expr::state(s).add(Expr::local(x)));
+        f.push(0, Expr::state(s).mul(Expr::table(t, Expr::i32(0))));
+        f.build().unwrap()
+    };
+    let opts = ProfileOptions::paper();
+    let device = DeviceConfig::gts512();
+    let timing = TimingModel::gts512();
+    let key = |w: &WorkFunction| profile::point_key(w, 16, 128, &opts, &device, &timing);
+    let base = with(&[2, 3], 0);
+    assert_eq!(base.to_pretty(), with(&[2, 4], 0).to_pretty());
+    assert_eq!(key(&base), key(&with(&[2, 3], 0)));
+    assert_ne!(key(&base), key(&with(&[2, 4], 0)), "table value");
+    assert_ne!(key(&base), key(&with(&[2, 3], 1)), "state init");
+    // The point, the buffer regime and the timing model are part of
+    // the key; the SM count is not.
+    assert_ne!(
+        key(&base),
+        profile::point_key(&base, 32, 128, &opts, &device, &timing)
+    );
+    assert_ne!(
+        key(&base),
+        profile::point_key(
+            &base,
+            16,
+            128,
+            &ProfileOptions::paper_no_coalesce(),
+            &device,
+            &timing
+        )
+    );
+    let slower = TimingModel {
+        mem_latency: 500.0,
+        ..TimingModel::gts512()
+    };
+    assert_ne!(
+        key(&base),
+        profile::point_key(&base, 16, 128, &opts, &device, &slower)
+    );
+    let narrow = DeviceConfig {
+        num_sms: 3,
+        ..DeviceConfig::gts512()
+    };
+    assert_eq!(
+        key(&base),
+        profile::point_key(&base, 16, 128, &opts, &narrow, &timing)
+    );
 }

@@ -6,7 +6,8 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use proptest::prelude::*;
-use streamir::ir::Scalar;
+use streamir::graph::{FilterSpec, FlatGraph, StreamSpec};
+use streamir::ir::{ElemTy, Expr, FnBuilder, Scalar, Table};
 use swpipe::exec::{self, required_input, CompileOptions};
 use swpipe::pipeline::{PipelineOptions, ResilientPipeline};
 use swpipe::schedule;
@@ -252,6 +253,62 @@ fn cache_key_is_construction_independent() {
             "{name}: QoS policy must split the key"
         );
     }
+}
+
+/// `x * table[0]`: programs that differ only in the table print
+/// identically, so they share a cache key.
+fn table_scale(table: &[i32]) -> FlatGraph {
+    let mut f = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
+    let t = f.table(Table::i32(table));
+    let x = f.local(ElemTy::I32);
+    f.pop_into(0, x);
+    f.push(0, Expr::local(x).mul(Expr::table(t, Expr::i32(0))));
+    StreamSpec::filter(FilterSpec::new("scale", f.build().unwrap()))
+        .flatten()
+        .unwrap()
+}
+
+/// Regression: the cache key ignores table values, so `x*2` and `x*3`
+/// share a key. The hit-time content guard must recompile the second
+/// program instead of serving the first one's artifact.
+#[test]
+fn colliding_cache_keys_never_serve_another_programs_artifact() {
+    let _g = guard();
+    let double = table_scale(&[2, 3]);
+    let triple = table_scale(&[3, 4]);
+    let opts = PipelineOptions {
+        compile: CompileOptions::small_test(),
+        ..PipelineOptions::default()
+    };
+    assert_eq!(
+        cache_key(&double, &opts),
+        cache_key(&triple, &opts),
+        "the reproduction needs a shared key"
+    );
+    let mut cache = CompilationCache::new(CacheOptions::default());
+    let (_, hit) = cache.get_or_compile(&double, &opts).unwrap();
+    assert!(!hit);
+    let (served, hit) = cache.get_or_compile(&triple, &opts).unwrap();
+    assert!(!hit, "a colliding entry must be a miss");
+    assert_eq!(served.compiled.graph, triple);
+    let n = required_input(&served.compiled, 1) as i32;
+    let input: Vec<Scalar> = (1..=n).map(Scalar::I32).collect();
+    let run = exec::execute_with(
+        &served.compiled,
+        served.scheme,
+        1,
+        &input,
+        &served.run_options,
+    )
+    .unwrap();
+    let want: Vec<Scalar> = (1..=n).map(|x| Scalar::I32(3 * x)).collect();
+    assert_eq!(run.outputs, want);
+    // The recompile took the slot over; asking for it again hits.
+    let (again, hit) = cache.get_or_compile(&triple, &opts).unwrap();
+    assert!(hit);
+    assert_eq!(again.compiled.graph, triple);
+    assert_eq!(cache.stats().misses, 2);
+    assert_eq!(cache.stats().hits, 1);
 }
 
 proptest! {

@@ -23,7 +23,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use gpusim::FaultPlan;
 use proptest::prelude::*;
 use streamir::graph::{FilterSpec, FlatGraph, StreamSpec};
-use streamir::ir::{ElemTy, Expr, FnBuilder, Scalar};
+use streamir::ir::{ElemTy, Expr, FnBuilder, Scalar, Table};
 use swpipe::schedule;
 use swpipe::serve::{EventEngine, Job, QosClass, ServeOptions, ServeReport, Server, Verdict};
 
@@ -207,6 +207,80 @@ fn differential_all_benchmarks_byte_identical() {
     for t in &engine_r.tenants {
         assert!(t.queue_wait_p99_secs >= 0.0);
     }
+}
+
+/// `x * table[0]` for one tenant: programs that differ only in the
+/// table share a cache key.
+fn table_scale_job(table: &[i32]) -> Job {
+    let mut f = FnBuilder::new(&[ElemTy::I32], &[ElemTy::I32]);
+    let t = f.table(Table::i32(table));
+    let x = f.local(ElemTy::I32);
+    f.pop_into(0, x);
+    f.push(0, Expr::local(x).mul(Expr::table(t, Expr::i32(0))));
+    Job {
+        tenant: "scale".to_string(),
+        graph: StreamSpec::filter(FilterSpec::new("scale", f.build().unwrap()))
+            .flatten()
+            .unwrap(),
+        input: |n| (1..=n).map(|i| Scalar::I32(i as i32)).collect(),
+        iterations: 1,
+        qos: QosClass::Batch,
+    }
+}
+
+/// The engine twin of the cache's collision regression: back-to-back
+/// programs sharing a cache key each get their own artifact, exactly as
+/// on the eager path, while their compiles are still in flight.
+#[test]
+fn colliding_keys_serve_their_own_artifacts_like_the_eager_path() {
+    let _g = guard();
+    let trace: Vec<(Job, f64)> = [[2, 3], [3, 4], [2, 3]]
+        .iter()
+        .enumerate()
+        .map(|(i, t)| (table_scale_job(t), 0.001 * i as f64))
+        .collect();
+    let (eager_v, eager_r) = serve_eager(ServeOptions::default(), &trace);
+    let mut engine = EventEngine::new(ServeOptions::default()).with_workers(2);
+    let engine_v = engine.serve_trace(&trace).unwrap();
+    for (i, (k, (a, b))) in [2, 3, 2]
+        .iter()
+        .zip(eager_v.iter().zip(&engine_v))
+        .enumerate()
+    {
+        assert_verdicts_match(a, b, &format!("job {i}"));
+        let Verdict::Completed(r) = b else {
+            panic!("job {i} rejected")
+        };
+        let want: Vec<Scalar> = (1..=r.outputs.len() as i32)
+            .map(|x| Scalar::I32(k * x))
+            .collect();
+        assert_eq!(r.outputs, want, "job {i} ran another program's artifact");
+    }
+    assert_eq!(eager_r.cache.misses, 3, "every colliding lookup misses");
+    assert_eq!(
+        report_sans_overlap(&eager_r),
+        report_sans_overlap(&engine.report())
+    );
+}
+
+/// Worker compiles share their cache's one profile memo, racing on the
+/// same points as tenants recut to new slice widths. Memo values are
+/// pure, so two workers must serve exactly what one worker serves.
+#[test]
+fn shared_profile_memo_keeps_worker_count_invisible() {
+    let _g = guard();
+    let trace = bench_trace(2, 1);
+    let mut one = EventEngine::new(ServeOptions::default()).with_workers(1);
+    let mut two = EventEngine::new(ServeOptions::default()).with_workers(2);
+    let one_v = one.serve_trace(&trace).unwrap();
+    let two_v = two.serve_trace(&trace).unwrap();
+    for (i, (a, b)) in one_v.iter().zip(&two_v).enumerate() {
+        assert_verdicts_match(a, b, &format!("job {i} ({})", trace[i].0.tenant));
+    }
+    assert_eq!(
+        report_sans_overlap(&one.report()),
+        report_sans_overlap(&two.report())
+    );
 }
 
 proptest! {
